@@ -112,14 +112,21 @@ func BenchmarkSummarize(b *testing.B) {
 	// experiments.BuildSummarizeHeap: a deep spine plus random edges, with
 	// the scion count swept so the per-scion component of the summarizer's
 	// complexity is visible. Calls snapshot.Summarize directly (the node
-	// layer's unchanged-heap cache would short-circuit repeat calls).
+	// layer's unchanged-heap cache would short-circuit repeat calls), and
+	// rewrites one payload before each call: that advances the mutation
+	// epoch as mutator churn does, so every iteration times a cold index
+	// build plus summarize rather than a hit on the heap's cached index.
 	for _, objects := range []int{1000, 10000, 100000} {
 		for _, scions := range []int{4, 64, 512} {
 			b.Run(fmt.Sprintf("objs=%d/scions=%d", objects, scions), func(b *testing.B) {
 				h, tb := experiments.BuildSummarizeHeap(objects, scions)
+				root := h.Roots()[0]
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
+					if err := h.SetPayload(root, nil); err != nil {
+						b.Fatal(err)
+					}
 					sum := snapshot.Summarize(h, tb, uint64(i+1))
 					if len(sum.Scions) != tb.NumScions() {
 						b.Fatalf("summary has %d scions, want %d", len(sum.Scions), tb.NumScions())

@@ -78,7 +78,10 @@ type SummarizeRow struct {
 
 // SummarizeScale measures graph summarization across a heap-size × scion
 // matrix: the cost model the single-pass engine changes from O(S × (V+E))
-// to O(V + E × S/64). Each cell reports the best of reps runs.
+// to O(V + E × S/64). Each cell reports the best of reps runs. Every run
+// first rewrites one payload, advancing the mutation epoch as mutator churn
+// does, so it times a cold index build plus summarize rather than a hit on
+// the heap's cached index.
 func SummarizeScale(objects, scions []int, reps int) ([]SummarizeRow, error) {
 	if reps < 1 {
 		reps = 1
@@ -87,8 +90,12 @@ func SummarizeScale(objects, scions []int, reps int) ([]SummarizeRow, error) {
 	for _, o := range objects {
 		for _, s := range scions {
 			h, tb := BuildSummarizeHeap(o, s)
+			root := h.Roots()[0]
 			best := time.Duration(0)
 			for r := 0; r < reps; r++ {
+				if err := h.SetPayload(root, nil); err != nil {
+					return nil, err
+				}
 				start := time.Now()
 				sum := snapshot.Summarize(h, tb, uint64(r+1))
 				d := time.Since(start)

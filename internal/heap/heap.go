@@ -10,7 +10,7 @@ package heap
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"dgc/internal/ids"
 )
@@ -46,18 +46,21 @@ type Heap struct {
 	objects map[ids.ObjID]*Object
 	roots   map[ids.ObjID]struct{}
 
+	// order lists the object ids in ascending order. Ids are allocated
+	// monotonically, so Alloc appends; Delete leaves the id behind and
+	// counts it in dead, and the entries are compacted out lazily (once
+	// they are half the list, or by the next sweep).
+	order []ids.ObjID
+	dead  int
+
 	// gen is the mutation epoch: it advances on every structural change
 	// (allocation, deletion, reference or root edit, payload replacement).
 	// Consumers such as the summarization cache compare generations to
 	// detect that a heap is unchanged since they last read it.
 	gen uint64
 
-	// Traversal scratch, reused across ReachableFrom/MarkReachable calls so
-	// mark and summarize rounds stop allocating queues and visited maps per
-	// call. Guarded by the same single-goroutine discipline as the heap.
-	queueBuf []ids.ObjID
-	marked   map[ids.ObjID]uint64
-	markGen  uint64
+	// ix is the dense index cached for epoch ix.gen (see Index).
+	ix *Index
 }
 
 // New returns an empty heap owned by the given node.
@@ -86,7 +89,9 @@ func Restore(node ids.NodeID, objects []*Object, roots []ids.ObjID, nextID ids.O
 			return nil, fmt.Errorf("heap %s: Restore: object %d >= nextID %d", node, o.ID, nextID)
 		}
 		h.objects[o.ID] = o
+		h.order = append(h.order, o.ID)
 	}
+	slices.Sort(h.order)
 	for _, r := range roots {
 		if err := h.AddRoot(r); err != nil {
 			return nil, err
@@ -116,6 +121,7 @@ func (h *Heap) Alloc(payload []byte) *Object {
 	o := &Object{ID: h.nextID, Payload: payload}
 	h.nextID++
 	h.objects[o.ID] = o
+	h.order = append(h.order, o.ID)
 	h.gen++
 	return o
 }
@@ -135,6 +141,18 @@ func (h *Heap) Delete(id ids.ObjID) {
 	if _, ok := h.objects[id]; !ok {
 		return
 	}
+	h.drop(id)
+	h.dead++
+	if 2*h.dead > len(h.order) {
+		// A fresh array, so a ForEach in progress keeps its view.
+		h.order = h.IDs()
+		h.dead = 0
+	}
+}
+
+// drop removes an existing object and its root entry, leaving the id order
+// to the caller.
+func (h *Heap) drop(id ids.ObjID) {
 	delete(h.objects, id)
 	delete(h.roots, id)
 	h.gen++
@@ -172,7 +190,7 @@ func (h *Heap) Roots() []ids.ObjID {
 	for id := range h.roots {
 		out = append(out, id)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -257,23 +275,28 @@ func (h *Heap) SetPayload(id ids.ObjID, payload []byte) error {
 // IDs returns all object identifiers in ascending order.
 func (h *Heap) IDs() []ids.ObjID {
 	out := make([]ids.ObjID, 0, len(h.objects))
-	for id := range h.objects {
-		out = append(out, id)
+	for _, id := range h.order {
+		if _, ok := h.objects[id]; ok {
+			out = append(out, id)
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
-// ForEach calls fn for every object in ascending id order.
+// ForEach calls fn for every object in ascending id order. Objects fn
+// allocates are not visited; objects it deletes before their turn are not
+// visited either.
 func (h *Heap) ForEach(fn func(*Object)) {
-	for _, id := range h.IDs() {
-		fn(h.objects[id])
+	for _, id := range h.order {
+		if o := h.objects[id]; o != nil {
+			fn(o)
+		}
 	}
 }
 
 // Clone returns a deep copy of the heap: the snapshot primitive. The clone
-// shares nothing with the original, so the mutator may continue to run while
-// the snapshot is summarized or serialized.
+// shares nothing with the original, cached index included, so the mutator
+// may continue to run while the snapshot is summarized or serialized.
 func (h *Heap) Clone() *Heap {
 	c := &Heap{
 		node:    h.node,
@@ -281,6 +304,7 @@ func (h *Heap) Clone() *Heap {
 		gen:     h.gen,
 		objects: make(map[ids.ObjID]*Object, len(h.objects)),
 		roots:   make(map[ids.ObjID]struct{}, len(h.roots)),
+		order:   h.IDs(),
 	}
 	for id, o := range h.objects {
 		c.objects[id] = o.clone()

@@ -17,6 +17,8 @@
 package lgc
 
 import (
+	"slices"
+
 	"dgc/internal/heap"
 	"dgc/internal/ids"
 	"dgc/internal/refs"
@@ -60,44 +62,33 @@ func New(h *heap.Heap, t *refs.Table) *Collector {
 func (c *Collector) Collect(pinned ...ids.GlobalRef) Result {
 	var res Result
 
-	// Mark. Two traces: from real local roots (for reachability statistics
-	// and, indirectly, Local.Reach summarization), and from roots + scions
-	// (the actual liveness). Both are epoch Marks over the heap's reusable
-	// scratch; the roots-only count must be captured before the second
-	// traversal recycles the epoch.
-	roots := c.heap.Roots()
-	rootsMark := c.heap.MarkReachable(roots...)
-	res.LocallyReachable = rootsMark.Len()
-	seeds := append(roots, c.table.ScionTargets()...)
-	liveMark := c.heap.MarkReachable(seeds...)
+	// Mark on the heap's dense index: first from real local roots (for
+	// reachability statistics), then, growing the same marking, from the
+	// scion targets too (the actual liveness).
+	ix := c.heap.Index()
+	live := make([]bool, ix.Len())
+	res.LocallyReachable = ix.Mark(live, c.heap.Roots()...)
+	ix.Mark(live, c.table.ScionTargets()...)
 
-	// Sweep. Deleting objects does not disturb the mark epoch.
-	for _, id := range c.heap.IDs() {
-		if !liveMark.Contains(id) {
-			c.heap.Delete(id)
-			res.Swept++
-		}
-	}
+	// Sweep by position. The index is compacted to the survivors and cached
+	// for the summarizer of the same round.
+	res.Swept = ix.Sweep(live)
 
 	// Regenerate the stub table: stubs are exactly the remote references
 	// held by live objects ("the LGC generates a new set of stubs each time
-	// it runs", §1). Invocation counters of surviving stubs are preserved.
-	wanted := make(map[ids.GlobalRef]struct{})
-	for _, r := range c.heap.RemoteRefsFromMark(liveMark) {
-		wanted[r] = struct{}{}
-	}
-	for _, r := range pinned {
-		wanted[r] = struct{}{}
-	}
+	// it runs", §1), which after the sweep are the index's targets.
+	// Invocation counters of surviving stubs are preserved.
 	for _, s := range c.table.Stubs() {
-		if _, ok := wanted[s.Target]; !ok {
+		if _, held := ix.TargetPos(s.Target); !held && !slices.Contains(pinned, s.Target) {
 			c.table.DeleteStub(s.Target)
 			res.StubsDeleted++
 		}
 	}
-	for r := range wanted {
-		if _, created := c.table.EnsureStub(r); created {
-			res.StubsCreated++
+	for _, set := range [][]ids.GlobalRef{ix.Targets(), pinned} {
+		for _, r := range set {
+			if _, created := c.table.EnsureStub(r); created {
+				res.StubsCreated++
+			}
 		}
 	}
 

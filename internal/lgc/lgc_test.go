@@ -2,6 +2,7 @@ package lgc
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -158,7 +159,11 @@ func TestDistributedCycleFragmentLeaksWithoutDCDA(t *testing.T) {
 }
 
 // Safety property: Collect never reclaims an object reachable from roots or
-// scions, and always reclaims everything else, on random heaps.
+// scions, always reclaims everything else, and leaves exactly the stubs held
+// by survivors or pinned, on random heaps. The heaps carry dangling local
+// refs, remote refs held twice by one object and pinned refs no object holds,
+// and each is collected twice with churn in between. After every collection
+// the index cached for the summarizer must equal a rebuild of the heap.
 func TestCollectSafetyAndCompletenessProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -170,34 +175,73 @@ func TestCollectSafetyAndCompletenessProperty(t *testing.T) {
 		for i := range objs {
 			objs[i] = h.Alloc(nil).ID
 		}
-		for i := 0; i < 2*n; i++ {
-			if err := h.AddLocalRef(objs[rng.Intn(n)], objs[rng.Intn(n)]); err != nil {
+		for round := 0; round < 2; round++ {
+			for i := 0; i < 2*n; i++ {
+				_ = h.AddLocalRef(objs[rng.Intn(n)], objs[rng.Intn(n)])
+			}
+			for i := 0; i < n/3; i++ {
+				from := objs[rng.Intn(n)]
+				r := ids.GlobalRef{Node: "P2", Obj: ids.ObjID(rng.Intn(6))}
+				_ = h.AddRemoteRef(from, r)
+				if rng.Intn(3) == 0 {
+					_ = h.AddRemoteRef(from, r)
+				}
+			}
+			if rng.Intn(4) > 0 {
+				_ = h.AddRoot(objs[rng.Intn(n)])
+			}
+			if rng.Intn(4) > 0 {
+				tb.EnsureScion("P9", objs[rng.Intn(n)])
+			}
+			for i := 0; i < n/8; i++ {
+				h.Delete(objs[rng.Intn(n)]) // dangling refs to it stay behind
+			}
+			var pinned []ids.GlobalRef
+			if rng.Intn(2) == 0 {
+				pinned = append(pinned, ids.GlobalRef{Node: "P3", Obj: ids.ObjID(rng.Intn(3))})
+			}
+			seeds := h.Roots()
+			seeds = append(seeds, tb.ScionTargets()...)
+			expected := h.ReachableFrom(seeds...)
+			wantStubs := h.RemoteRefsFrom(expected)
+
+			c.Collect(pinned...)
+
+			if h.Len() != len(expected) {
 				return false
 			}
-		}
-		if rng.Intn(4) > 0 {
-			_ = h.AddRoot(objs[rng.Intn(n)])
-		}
-		if rng.Intn(4) > 0 {
-			tb.EnsureScion("P9", objs[rng.Intn(n)])
-		}
-		seeds := h.Roots()
-		seeds = append(seeds, tb.ScionTargets()...)
-		expected := h.ReachableFrom(seeds...)
-
-		c.Collect()
-
-		if h.Len() != len(expected) {
-			return false
-		}
-		for id := range expected {
-			if !h.Contains(id) {
+			for id := range expected {
+				if !h.Contains(id) {
+					return false
+				}
+			}
+			for _, r := range pinned {
+				if !slices.Contains(wantStubs, r) {
+					wantStubs = append(wantStubs, r)
+				}
+			}
+			if tb.NumStubs() != len(wantStubs) {
+				return false
+			}
+			for _, r := range wantStubs {
+				if tb.Stub(r) == nil {
+					return false
+				}
+			}
+			ix := h.Index()
+			if !ix.Equal(h.BuildIndex()) {
+				t.Logf("seed %d round %d: cached index differs from a rebuild", seed, round)
+				return false
+			}
+			comp, ncomp := ix.SCC()
+			wantComp, wantN := h.BuildIndex().SCC()
+			if ncomp != wantN || !slices.Equal(comp, wantComp) {
 				return false
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
 }

@@ -79,109 +79,54 @@ func (s *Summary) Stub(target ids.GlobalRef) *StubSummary {
 // the mutator runs concurrently; in the deterministic simulation the live
 // heap may be summarized directly between mutator steps.
 //
-// The engine is single-pass: it builds a dense heap.Index (adjacency plus a
-// reverse holder table), condenses the local graph into strongly connected
-// components, and propagates per-component *scion bitsets* along the
-// condensation in topological order. Every scion's transitive stub set and
-// every stub's scion set then fall out of one O(words) union per holder,
-// for a total cost of O(V + E x S/64) instead of the former per-scion BFS's
-// O(S x (V + E)). References strictly internal to the process fold away;
-// output lists are emitted directly in canonical order.
+// The engine is single-pass over the heap's dense heap.Index (adjacency plus
+// a reverse holder table): the index the LGC swept on when nothing has
+// mutated since, a fresh build otherwise. It condenses the local graph into
+// strongly connected components and propagates per-component *scion
+// bitsets* along the condensation in topological order. Every scion's
+// transitive stub set and every stub's scion set then fall out of one
+// O(words) union per holder, for a total cost of O(V + E x S/64) instead of
+// the former per-scion BFS's O(S x (V + E)). References strictly internal
+// to the process fold away; output lists are emitted directly in canonical
+// order into exact-size slabs.
 func Summarize(h *heap.Heap, table *refs.Table, version uint64) *Summary {
-	sum := &Summary{
-		Node:    h.Node(),
-		Version: version,
-		Scions:  make(map[ids.RefID]*ScionSummary),
-		Stubs:   make(map[ids.GlobalRef]*StubSummary),
-	}
-
-	ix := h.BuildIndex()
+	ix := h.Index()
 	rootReach := ix.RootFlags() // Local.Reach per dense index
 
 	// Stub records from the stub table. A remote ref held in the heap
 	// without a stub record (possible between LGC rounds) is skipped
 	// conservatively, exactly as the per-scion implementation did.
-	for _, st := range table.Stubs() {
-		sum.Stubs[st.Target] = &StubSummary{Target: st.Target, IC: st.IC}
+	stubs := table.Stubs()
+	scions := table.Scions()
+	sum := &Summary{
+		Node:    h.Node(),
+		Version: version,
+		Scions:  make(map[ids.RefID]*ScionSummary, len(scions)),
+		Stubs:   make(map[ids.GlobalRef]*StubSummary, len(stubs)),
+	}
+	stubRecs := make([]StubSummary, len(stubs))
+	for i, st := range stubs {
+		stubRecs[i] = StubSummary{Target: st.Target, IC: st.IC}
+		sum.Stubs[st.Target] = &stubRecs[i]
 	}
 
 	// Scion records in canonical (Src, Obj) order. Because every RefID
 	// shares this node as Dst.Node, canonical RefID order coincides with
 	// this order, so lists built by ascending scion index need no sort.
 	self := h.Node()
-	scions := table.Scions()
 	nscions := len(scions)
 	words := (nscions + 63) / 64
-	refIDs := make([]ids.RefID, nscions)
-	scSums := make([]*ScionSummary, nscions)
+	scRecs := make([]ScionSummary, nscions)
 	for i, sc := range scions {
-		refIDs[i] = sc.RefID(self)
 		lr := false
 		if p, ok := ix.Pos(sc.Obj); ok {
 			lr = rootReach[p]
 		}
-		scSums[i] = &ScionSummary{Ref: refIDs[i], IC: sc.IC, LocalReach: lr}
-		sum.Scions[refIDs[i]] = scSums[i]
+		scRecs[i] = ScionSummary{Ref: sc.RefID(self), IC: sc.IC, LocalReach: lr}
+		sum.Scions[scRecs[i].Ref] = &scRecs[i]
 	}
 
-	if nscions > 0 {
-		// Seed each scion's bit at its object's component, then push the
-		// bitsets through the condensation DAG. Component ids come out of
-		// Tarjan in completion order, so descending id is a topological
-		// order: processing a component pushes the union of everything
-		// that reaches it onto its successors exactly once.
-		comp, ncomp := ix.SCC()
-		rows := make([]uint64, int(ncomp)*words)
-		for i, sc := range scions {
-			if p, ok := ix.Pos(sc.Obj); ok {
-				row := rows[int(comp[p])*words:]
-				row[i>>6] |= 1 << (uint(i) & 63)
-			}
-		}
-		compAdj := ix.Condense(comp, ncomp)
-		for c := int(ncomp) - 1; c >= 0; c-- {
-			row := rows[c*words : (c+1)*words]
-			for _, d := range compAdj[c] {
-				drow := rows[int(d)*words : (int(d)+1)*words]
-				for w := range drow {
-					drow[w] |= row[w]
-				}
-			}
-		}
-
-		// Emit: for each stub target (canonical order), union the scion
-		// sets of its holders, then distribute the set bits into StubsFrom
-		// and ScionsTo. Both orders are canonical by construction.
-		union := make([]uint64, words)
-		for t, tgt := range ix.Targets() {
-			ss := sum.Stubs[tgt]
-			if ss == nil {
-				continue
-			}
-			for w := range union {
-				union[w] = 0
-			}
-			for _, hp := range ix.Holders(int32(t)) {
-				if rootReach[hp] {
-					ss.LocalReach = true
-				}
-				row := rows[int(comp[hp])*words:]
-				for w := 0; w < words; w++ {
-					union[w] |= row[w]
-				}
-			}
-			for w := 0; w < words; w++ {
-				word := union[w]
-				for word != 0 {
-					b := bits.TrailingZeros64(word)
-					word &^= 1 << uint(b)
-					si := w*64 + b
-					scSums[si].StubsFrom = append(scSums[si].StubsFrom, tgt)
-					ss.ScionsTo = append(ss.ScionsTo, refIDs[si])
-				}
-			}
-		}
-	} else {
+	if nscions == 0 {
 		// No scions: only the stubs' Local.Reach flags are needed.
 		for t, tgt := range ix.Targets() {
 			ss := sum.Stubs[tgt]
@@ -194,6 +139,95 @@ func Summarize(h *heap.Heap, table *refs.Table, version uint64) *Summary {
 					break
 				}
 			}
+		}
+		return sum
+	}
+
+	// Seed each scion's bit at its object's component, then push the
+	// bitsets through the condensation DAG. Component ids come out of
+	// Tarjan in completion order, so descending id is a topological order:
+	// processing a component pushes the union of everything that reaches it
+	// onto its successors exactly once.
+	comp, ncomp := ix.SCC()
+	rows := make([]uint64, int(ncomp)*words)
+	for i, sc := range scions {
+		if p, ok := ix.Pos(sc.Obj); ok {
+			row := rows[int(comp[p])*words:]
+			row[i>>6] |= 1 << (uint(i) & 63)
+		}
+	}
+	compOff, compTo := ix.Condense(comp, ncomp)
+	for c := int(ncomp) - 1; c >= 0; c-- {
+		row := rows[c*words : (c+1)*words]
+		for _, d := range compTo[compOff[c]:compOff[c+1]] {
+			drow := rows[int(d)*words : (int(d)+1)*words]
+			for w := range drow {
+				drow[w] |= row[w]
+			}
+		}
+	}
+
+	// Emit: for each stub target (canonical order), the union of its
+	// holders' scion sets gives its ScionsTo and one StubsFrom entry per
+	// member scion. Both orders are canonical by construction. A first pass
+	// counts the bits so a second can fill exact-size slabs; empty lists
+	// stay nil.
+	union := make([]uint64, words)
+	unionOf := func(t int) {
+		clear(union)
+		for _, hp := range ix.Holders(int32(t)) {
+			row := rows[int(comp[hp])*words:]
+			for w := range union {
+				union[w] |= row[w]
+			}
+		}
+	}
+	fromLen := make([]int, nscions)
+	pairs := 0 // (scion, stub) pairs: the length of both slabs
+	for t, tgt := range ix.Targets() {
+		ss := sum.Stubs[tgt]
+		if ss == nil {
+			continue
+		}
+		for _, hp := range ix.Holders(int32(t)) {
+			if rootReach[hp] {
+				ss.LocalReach = true
+				break
+			}
+		}
+		unionOf(t)
+		for w, word := range union {
+			pairs += bits.OnesCount64(word)
+			for ; word != 0; word &= word - 1 {
+				fromLen[w*64+bits.TrailingZeros64(word)]++
+			}
+		}
+	}
+	fromSlab := make([]ids.GlobalRef, pairs)
+	off := 0
+	for i, n := range fromLen {
+		if n > 0 {
+			scRecs[i].StubsFrom = fromSlab[off : off : off+n]
+			off += n
+		}
+	}
+	toSlab := make([]ids.RefID, 0, pairs)
+	for t, tgt := range ix.Targets() {
+		ss := sum.Stubs[tgt]
+		if ss == nil {
+			continue
+		}
+		unionOf(t)
+		start := len(toSlab)
+		for w, word := range union {
+			for ; word != 0; word &= word - 1 {
+				si := w*64 + bits.TrailingZeros64(word)
+				scRecs[si].StubsFrom = append(scRecs[si].StubsFrom, tgt)
+				toSlab = append(toSlab, scRecs[si].Ref)
+			}
+		}
+		if len(toSlab) > start {
+			ss.ScionsTo = toSlab[start:len(toSlab):len(toSlab)]
 		}
 	}
 	return sum

@@ -9,6 +9,7 @@ import (
 
 	"dgc/internal/heap"
 	"dgc/internal/ids"
+	"dgc/internal/lgc"
 	"dgc/internal/refs"
 	"dgc/internal/workload"
 )
@@ -225,6 +226,78 @@ func TestSummarizeMatchesReferenceAfterMutation(t *testing.T) {
 		want := summarizeReference(h, tb, 2)
 		if d := diffSummaries(got, want); d != "" {
 			t.Fatalf("seed %d after mutation: %s", seed, d)
+		}
+	}
+}
+
+// TestSummarizeMatchesReferenceAfterCollect runs the LGC before summarizing,
+// so Summarize reuses the index the sweep compacted, on heaps built directly
+// or decoded through Restore by either codec. One mutation kind between the
+// collection and the summary must force a rebuild; the summary must equal
+// the reference either way.
+func TestSummarizeMatchesReferenceAfterCollect(t *testing.T) {
+	mutations := []struct {
+		name   string
+		mutate func(h *heap.Heap, rng *rand.Rand, objs []ids.ObjID) error
+	}{
+		{"none", func(*heap.Heap, *rand.Rand, []ids.ObjID) error { return nil }},
+		{"Alloc", func(h *heap.Heap, rng *rand.Rand, objs []ids.ObjID) error {
+			return h.AddLocalRef(objs[rng.Intn(len(objs))], h.Alloc(nil).ID)
+		}},
+		{"AddLocalRef", func(h *heap.Heap, rng *rand.Rand, objs []ids.ObjID) error {
+			return h.AddLocalRef(objs[rng.Intn(len(objs))], objs[rng.Intn(len(objs))])
+		}},
+		{"RemoveRemoteRef", func(h *heap.Heap, _ *rand.Rand, objs []ids.ObjID) error {
+			for _, id := range objs {
+				if rs := h.Get(id).Remotes; len(rs) > 0 {
+					return h.RemoveRemoteRef(id, rs[0])
+				}
+			}
+			return nil
+		}},
+		{"AddRoot", func(h *heap.Heap, rng *rand.Rand, objs []ids.ObjID) error {
+			return h.AddRoot(objs[rng.Intn(len(objs))])
+		}},
+		{"RemoveRoot", func(h *heap.Heap, _ *rand.Rand, _ []ids.ObjID) error {
+			if roots := h.Roots(); len(roots) > 0 {
+				h.RemoveRoot(roots[0])
+			}
+			return nil
+		}},
+		{"Delete", func(h *heap.Heap, rng *rand.Rand, objs []ids.ObjID) error {
+			h.Delete(objs[rng.Intn(len(objs))])
+			return nil
+		}},
+	}
+	for seed := int64(0); seed < 150; seed++ {
+		h, tb := randomProcess(seed)
+		if k := int(seed % 3); k > 0 {
+			c := codecs()[k-1]
+			data, err := c.Encode(h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if h, err = c.Decode(data); err != nil {
+				t.Fatal(err)
+			}
+		}
+		lgc.New(h, tb).Collect()
+		if !h.Index().Equal(h.BuildIndex()) {
+			t.Fatalf("seed %d: cached index differs from a rebuild after Collect", seed)
+		}
+		objs := h.IDs()
+		if len(objs) == 0 {
+			continue
+		}
+		m := mutations[int(seed)%len(mutations)]
+		rng := rand.New(rand.NewSource(seed))
+		if err := m.mutate(h, rng, objs); err != nil {
+			t.Fatal(err)
+		}
+		got := Summarize(h, tb, 3)
+		want := summarizeReference(h, tb, 3)
+		if d := diffSummaries(got, want); d != "" {
+			t.Fatalf("seed %d after Collect and %s: %s", seed, m.name, d)
 		}
 	}
 }
